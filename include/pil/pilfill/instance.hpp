@@ -45,11 +45,11 @@ struct TileInstance {
   }
 };
 
-/// Struct-of-arrays staging for one tile's two-sided columns: the slack /
-/// entry-resistance / weighting data gathered into contiguous columns so
-/// the pil::simd kernels can compute every resistance factor blockwise
-/// (see docs/SIMD.md). Reused across tiles as a scratch workspace -- the
-/// prep loop builds one per thread and passes it to build_tile_instance.
+/// Struct-of-arrays staging for one tile's two-sided columns: the
+/// entry-resistance and weighting inputs gathered into contiguous columns,
+/// from which build_tile_instance computes every resistance factor in one
+/// loop. Reused across tiles as a scratch workspace -- the prep loop builds
+/// one per thread and passes it to build_tile_instance.
 struct PrepColumns {
   std::vector<int> idx;  ///< positions in TileInstance::cols (two-sided only)
   // Entry-resistance inputs per facing piece (b = below, a = above):
@@ -59,12 +59,9 @@ struct PrepColumns {
   std::vector<double> wb, wa;  ///< criticality * downstream_sinks
   std::vector<double> sb, sa;  ///< downstream_sinks
   std::vector<double> ob, oa;  ///< offpath_res_sum
-  // Kernel outputs.
-  std::vector<double> rb, ra, res_nw, res_w, res_ex;
 
   std::size_t size() const { return idx.size(); }
   void clear();
-  void resize_outputs();
 };
 
 /// Build the instance for `tile_flat` with fill requirement `required`.

@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "pil/lp/simplex.hpp"
-#include "pil/simd/simd.hpp"
 #include "pil/util/log.hpp"
 #include "pil/util/rng.hpp"
 
@@ -16,6 +15,17 @@ namespace {
 using grid::Dissection;
 using grid::DensityMap;
 using grid::TileIndex;
+
+/// Windows covering tile (ix, iy): lower-left window indices.
+template <typename F>
+void for_covering_windows(const Dissection& dis, int ix, int iy, F&& fn) {
+  const int wx_lo = std::max(0, ix - dis.r() + 1);
+  const int wx_hi = std::min(dis.windows_x() - 1, ix);
+  const int wy_lo = std::max(0, iy - dis.r() + 1);
+  const int wy_hi = std::min(dis.windows_y() - 1, iy);
+  for (int wy = wy_lo; wy <= wy_hi; ++wy)
+    for (int wx = wx_lo; wx <= wx_hi; ++wx) fn(wx, wy);
+}
 
 grid::DensityStats stats_with_fill(const DensityMap& wires,
                                    const std::vector<int>& features,
@@ -61,13 +71,11 @@ FillTargetResult compute_fill_amounts_mc(const DensityMap& wires,
   const int nwy = dis.windows_y();
   const double win_area = dis.window_um() * dis.window_um();
 
-  const simd::Kernels& K = simd::kernels();
-
-  // Current window feature areas (wires + fill added so far), computed
-  // blockwise in window_area()'s accumulation order.
+  // Current window feature areas (wires + fill added so far).
   std::vector<double> warea(static_cast<std::size_t>(nwx) * nwy);
-  K.window_sums(wires.tile_areas().data(), dis.tiles_x(), dis.tiles_y(),
-                dis.r(), warea.data());
+  for (int wy = 0; wy < nwy; ++wy)
+    for (int wx = 0; wx < nwx; ++wx)
+      warea[static_cast<std::size_t>(wy) * nwx + wx] = wires.window_area(wx, wy);
 
   std::vector<int> remaining = tile_capacity;
   res.features_per_tile.assign(dis.num_tiles(), 0);
@@ -95,21 +103,18 @@ FillTargetResult compute_fill_amounts_mc(const DensityMap& wires,
 
     const int wx = w % nwx;
     const int wy = w / nwx;
-    // Candidate tiles: slack capacity left and all covering windows stay
-    // <= U. The covering windows form a contiguous block of warea rows, so
-    // the feasibility test and the area update run as block kernels; the
-    // hoisted threshold equals the per-check expression exactly.
-    const double threshold = U * win_area + 1e-12;
+    // Candidate tiles: slack capacity left and all covering windows stay <= U.
     candidates.clear();
     for (int iy = wy; iy < wy + dis.r(); ++iy) {
       for (int ix = wx; ix < wx + dis.r(); ++ix) {
         if (ix >= dis.tiles_x() || iy >= dis.tiles_y()) continue;
         const int flat = dis.tile_flat(TileIndex{ix, iy});
         if (remaining[flat] <= 0) continue;
-        const bool ok = !K.block_any_above(
-            warea.data(), nwx, std::max(0, ix - dis.r() + 1),
-            std::min(nwx - 1, ix), std::max(0, iy - dis.r() + 1),
-            std::min(nwy - 1, iy), fa, threshold);
+        bool ok = true;
+        for_covering_windows(dis, ix, iy, [&](int cwx, int cwy) {
+          const std::size_t cw = static_cast<std::size_t>(cwy) * nwx + cwx;
+          if (warea[cw] + fa > U * win_area + 1e-12) ok = false;
+        });
         if (ok) candidates.push_back(flat);
       }
     }
@@ -123,9 +128,9 @@ FillTargetResult compute_fill_amounts_mc(const DensityMap& wires,
     res.features_per_tile[flat] += 1;
     ++res.total_features;
     const TileIndex t = dis.tile_unflat(flat);
-    K.block_add_scalar(warea.data(), nwx, std::max(0, t.ix - dis.r() + 1),
-                       std::min(nwx - 1, t.ix), std::max(0, t.iy - dis.r() + 1),
-                       std::min(nwy - 1, t.iy), fa);
+    for_covering_windows(dis, t.ix, t.iy, [&](int cwx, int cwy) {
+      warea[static_cast<std::size_t>(cwy) * nwx + cwx] += fa;
+    });
     heap.emplace(warea[w] / win_area, w);
   }
 

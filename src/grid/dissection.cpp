@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace pil::grid {
 
@@ -13,8 +14,14 @@ Dissection::Dissection(const geom::Rect& die, double window_um, int r)
   PIL_REQUIRE(window_um <= std::min(die.width(), die.height()),
               "window larger than die");
   tile_um_ = window_um / r;
-  tiles_x_ = static_cast<int>(std::ceil(die.width() / tile_um_ - geom::kEps));
-  tiles_y_ = static_cast<int>(std::ceil(die.height() / tile_um_ - geom::kEps));
+  const double nx = std::ceil(die.width() / tile_um_ - geom::kEps);
+  const double ny = std::ceil(die.height() / tile_um_ - geom::kEps);
+  // Tile indices are ints; a die this large for its tile size would
+  // overflow num_tiles() long before any grid could be allocated.
+  PIL_REQUIRE(nx * ny <= std::numeric_limits<int>::max(),
+              "die too large for the window size: tile count exceeds int");
+  tiles_x_ = static_cast<int>(nx);
+  tiles_y_ = static_cast<int>(ny);
   PIL_ASSERT(tiles_x_ >= r_ && tiles_y_ >= r_, "die smaller than one window");
 }
 

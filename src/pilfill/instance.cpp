@@ -1,7 +1,5 @@
 #include "pil/pilfill/instance.hpp"
 
-#include "pil/simd/simd.hpp"
-
 namespace pil::pilfill {
 
 double piece_res_at_x(const rctree::WirePiece& piece, double x) {
@@ -18,14 +16,6 @@ void PrepColumns::clear() {
   wb.clear(); wa.clear();
   sb.clear(); sa.clear();
   ob.clear(); oa.clear();
-}
-
-void PrepColumns::resize_outputs() {
-  rb.resize(idx.size());
-  ra.resize(idx.size());
-  res_nw.resize(idx.size());
-  res_w.resize(idx.size());
-  res_ex.resize(idx.size());
 }
 
 TileInstance build_tile_instance(int tile_flat, int required,
@@ -89,29 +79,21 @@ TileInstance build_tile_instance(int tile_flat, int required,
     inst.cols.push_back(ic);
   }
 
-  // Kernel pass: entry resistances rb/ra = WirePiece::res_at(cross point),
-  // then the three resistance factors, each with the operation order of
-  // the corresponding scalar expression (Eq. 13 / Eq. 21 / exact delay).
-  const std::size_t n = p.size();
-  if (n > 0) {
-    const simd::Kernels& K = simd::kernels();
-    p.resize_outputs();
-    K.entry_res(p.base_b.data(), p.slope_b.data(), p.uxb.data(), p.uyb.data(),
-                p.qxb.data(), p.qyb.data(), n, p.rb.data());
-    K.entry_res(p.base_a.data(), p.slope_a.data(), p.uxa.data(), p.uya.data(),
-                p.qxa.data(), p.qya.data(), n, p.ra.data());
-    K.add2(p.rb.data(), p.ra.data(), n, p.res_nw.data());
-    K.weighted_pair(p.wb.data(), p.rb.data(), p.wa.data(), p.ra.data(), n,
-                    p.res_w.data());
+  // Resistance pass: entry resistances rb/ra = WirePiece::res_at(cross
+  // point), then the three resistance factors (Eq. 13 / Eq. 21 / exact
+  // delay).
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    const double rb =
+        p.base_b[j] + p.slope_b[j] * (std::fabs(p.uxb[j] - p.qxb[j]) +
+                                      std::fabs(p.uyb[j] - p.qyb[j]));
+    const double ra =
+        p.base_a[j] + p.slope_a[j] * (std::fabs(p.uxa[j] - p.qxa[j]) +
+                                      std::fabs(p.uya[j] - p.qya[j]));
+    InstanceColumn& ic = inst.cols[static_cast<std::size_t>(p.idx[j])];
+    ic.res_nonweighted = rb + ra;
+    ic.res_weighted = p.wb[j] * rb + p.wa[j] * ra;
     // The exact-delay factor is physical: criticality never scales it.
-    K.exact_pair(p.sb.data(), p.rb.data(), p.sa.data(), p.ra.data(),
-                 p.ob.data(), p.oa.data(), n, p.res_ex.data());
-    for (std::size_t j = 0; j < n; ++j) {
-      InstanceColumn& ic = inst.cols[static_cast<std::size_t>(p.idx[j])];
-      ic.res_nonweighted = p.res_nw[j];
-      ic.res_weighted = p.res_w[j];
-      ic.res_exact = p.res_ex[j];
-    }
+    ic.res_exact = p.sb[j] * rb + p.sa[j] * ra + p.ob[j] + p.oa[j];
   }
   return inst;
 }

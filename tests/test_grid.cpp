@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "pil/density/fill_target.hpp"
 #include "pil/fill/slack.hpp"
 #include "pil/grid/density_map.hpp"
@@ -78,6 +81,7 @@ TEST(Dissection, RejectsBadParameters) {
   EXPECT_THROW(Dissection(geom::Rect{0, 0, 10, 10}, 0.0, 2), Error);
   EXPECT_THROW(Dissection(geom::Rect{0, 0, 10, 10}, 5.0, 0), Error);
   EXPECT_THROW(Dissection(geom::Rect{0, 0, 10, 10}, 20.0, 2), Error);
+  EXPECT_THROW(Dissection(geom::Rect{0, 0, 1e9, 1e9}, 32.0, 2), Error);
 }
 
 // ----------------------------------------------------------- density map ----
@@ -297,6 +301,43 @@ TEST(Smoothness, FillImprovesSmoothness) {
   EXPECT_LT(ra.variation, rb.variation);
   EXPECT_LE(ra.type1, rb.type1 + 1e-9);
   EXPECT_LT(ra.mean_abs_step, rb.mean_abs_step);
+}
+
+// Regression: a die whose size is not a multiple of the window leaves the
+// rightmost/topmost windows clipped (smaller area, higher density for the
+// same feature area). stats() must equal the window_density() fold
+// bitwise: min/max over the windows, mean as the index-ordered sum.
+TEST(DensityMap, StatsClippedEdgeRegression) {
+  const geom::Rect die{0.0, 0.0, 50.0, 38.0};  // 50/16, 38/16 both ragged
+  const Dissection dis(die, 16.0, 2);
+  DensityMap map(dis);
+  Rng rng(14);
+  for (int i = 0; i < 200; ++i) {
+    const double x = rng.uniform_real(die.xlo, die.xhi - 1.0);
+    const double y = rng.uniform_real(die.ylo, die.yhi - 1.0);
+    map.add_rect(geom::Rect{x, y, x + rng.uniform_real(0.1, 1.0),
+                            y + rng.uniform_real(0.1, 1.0)});
+  }
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -std::numeric_limits<double>::infinity();
+  double sum = 0.0;
+  bool clipped_seen = false;
+  for (int wy = 0; wy < dis.windows_y(); ++wy)
+    for (int wx = 0; wx < dis.windows_x(); ++wx) {
+      const double d = map.window_density(wx, wy);
+      mn = std::min(mn, d);
+      mx = std::max(mx, d);
+      sum += d;
+      if (dis.window_rect(wx, wy).area() <
+          dis.window_rect(0, 0).area() - 1e-9)
+        clipped_seen = true;
+    }
+  ASSERT_TRUE(clipped_seen) << "die size must clip some edge windows";
+  const DensityStats s = map.stats();
+  EXPECT_EQ(s.min_density, mn);
+  EXPECT_EQ(s.max_density, mx);
+  EXPECT_EQ(s.mean_density,
+            sum / (static_cast<double>(dis.windows_x()) * dis.windows_y()));
 }
 
 // Property: for random rects, per-tile areas sum to the clipped rect area.

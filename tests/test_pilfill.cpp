@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 
 #include "pil/pilfill/driver.hpp"
@@ -10,6 +11,7 @@
 #include "pil/pilfill/instance.hpp"
 #include "pil/pilfill/solvers.hpp"
 #include "pil/layout/synthetic.hpp"
+#include "pil/service/protocol.hpp"
 
 namespace pil::pilfill {
 namespace {
@@ -457,6 +459,62 @@ TEST(Evaluator, SuperadditiveAcrossTileSplits) {
     EXPECT_GE(f, 2 * h - 1e-15) << "column " << ci;
   }
 }
+
+
+// --------------------------------------------------- golden fingerprints ----
+
+// T1 placement fingerprints at W=32 r=2. They cover every method on both
+// objectives (the ILP legs read res_nonweighted / res_weighted straight
+// from build_tile_instance) and must not move with the thread count. A
+// change here is a change of semantics and needs its own review; update
+// the constants only then.
+struct Golden {
+  Objective objective;
+  Method method;
+  std::uint64_t fingerprint;
+};
+constexpr Golden kGoldens[] = {
+    {Objective::kNonWeighted, Method::kNormal, 0x9344724b16462801ULL},
+    {Objective::kNonWeighted, Method::kGreedy, 0x724e17cfdb16bf6dULL},
+    {Objective::kNonWeighted, Method::kConvex, 0x673f09fd8675e23bULL},
+    {Objective::kNonWeighted, Method::kIlp1, 0x6d89bed1552d3dfaULL},
+    {Objective::kNonWeighted, Method::kIlp2, 0xb5a39d1911a26484ULL},
+    {Objective::kWeighted, Method::kGreedy, 0x0f870295201d4519ULL},
+    {Objective::kWeighted, Method::kConvex, 0x52ed62408234da64ULL},
+    {Objective::kWeighted, Method::kIlp1, 0xbe213f554368b6ecULL},
+    {Objective::kWeighted, Method::kIlp2, 0x9943427dd9933341ULL},
+};
+
+void expect_t1_goldens(int threads) {
+  const Layout t1 = layout::make_testcase_t1();
+  for (const Objective objective :
+       {Objective::kNonWeighted, Objective::kWeighted}) {
+    FlowConfig config;
+    config.window_um = 32;
+    config.r = 2;
+    config.threads = threads;
+    config.objective = objective;
+    std::vector<Method> methods;
+    std::vector<std::uint64_t> want;
+    for (const Golden& g : kGoldens) {
+      if (g.objective != objective) continue;
+      methods.push_back(g.method);
+      want.push_back(g.fingerprint);
+    }
+    const FlowResult result = run_pil_fill_flow(t1, config, methods);
+    ASSERT_EQ(result.methods.size(), methods.size());
+    for (std::size_t i = 0; i < methods.size(); ++i)
+      EXPECT_EQ(service::placement_fingerprint(
+                    result.methods[i].placement.features),
+                want[i])
+          << to_string(methods[i]) << ", weighted="
+          << (objective == Objective::kWeighted);
+  }
+}
+
+TEST(GoldenFingerprints, T1Threads1) { expect_t1_goldens(1); }
+
+TEST(GoldenFingerprints, T1Threads4) { expect_t1_goldens(4); }
 
 }  // namespace
 }  // namespace pil::pilfill

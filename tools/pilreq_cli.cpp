@@ -295,7 +295,7 @@ int main(int argc, char** argv) {
         return kExitExhausted;
     }
     return kExitError;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "pilreq: " << e.what() << "\n";
     return kExitError;
   }

@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
               << stats.shed << " shed, " << stats.errors << " errors), "
               << stats.sessions_opened << " sessions\n";
     return kExitOk;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "pilserve: " << e.what() << "\n";
     return kExitError;
   }

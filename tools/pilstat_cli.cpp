@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
     if (cmd == "merge") return cmd_merge(args);
     if (cmd == "diff") return cmd_diff(args);
     return usage();
-  } catch (const pil::Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "pilstat: " << e.what() << "\n";
     return kExitError;
   }

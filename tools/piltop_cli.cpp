@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
       if (once) return kExitOk;
       std::this_thread::sleep_for(std::chrono::duration<double>(interval));
     }
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "piltop: " << e.what() << "\n";
     return kExitError;
   }
